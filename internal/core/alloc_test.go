@@ -3,7 +3,7 @@
 package core
 
 // Allocation-regression tests: the checking hot path is pooled
-// (statePool + interval-tree node freelists + scratch buffers), so a
+// (checkerPool + interval-tree node freelists + scratch buffers), so a
 // steady stream of clean traces must check without per-trace
 // allocations. These ceilings fail `go test` locally the moment a
 // change reintroduces per-op allocation — the bench job's compare gate

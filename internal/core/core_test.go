@@ -560,7 +560,7 @@ func TestEngineWaitThenSubmitMore(t *testing.T) {
 }
 
 func TestEngineTrackOnlyReportsNothing(t *testing.T) {
-	e := NewEngine(Options{TrackOnly: true})
+	e := NewEngine(Options{Check: Config{TrackOnly: true}})
 	e.Submit(mk(write(0x10, 8), isPersist(0x10, 8)))
 	reports := e.Close()
 	if len(reports) != 1 || !reports[0].Clean() {

@@ -19,10 +19,16 @@ type Range struct {
 }
 
 // CheckTrace runs the checking rules over one trace and returns its
-// report. It is a pure function of (rules, trace); the worker pool and the
-// inline-ablation benchmark both call it.
+// report: the one-shot form of (*ShardedChecker).Check on a serial
+// checker drawn from a pool. It is a pure function of (rules, trace); the
+// inline-ablation benchmark, bug reproducers and offline replays call it.
 func CheckTrace(rules RuleSet, t *trace.Trace) Report {
-	return CheckTraceExcluding(rules, t, nil)
+	c := checkerPool.Get().(*ShardedChecker)
+	c.rules = rules
+	rep, _ := c.Check(t, nil)
+	c.rules = nil
+	checkerPool.Put(c)
+	return rep
 }
 
 // maxDiagsPerTrace caps diagnostics per trace so a pathological trace (a
@@ -30,33 +36,34 @@ func CheckTrace(rules RuleSet, t *trace.Trace) Report {
 // in the final diagnostic.
 const maxDiagsPerTrace = 1000
 
-// statePool recycles checking states across traces. A trace still gets a
-// logically fresh shadow memory (§4.4) — Reset restores the pristine
-// condition — but the State allocation, its four interval trees, their
-// node freelists and the scratch buffers are all reused, which removes
-// the dominant per-trace allocation cost on the checking hot path.
-var statePool = sync.Pool{New: func() any { statePoolMisses.Add(1); return NewState() }}
+// checkerPool recycles serial checkers for CheckTrace. A trace still gets
+// a logically fresh shadow memory (§4.4) — each Check resets the State —
+// but the State allocation, its four interval trees, their node
+// freelists and the scratch buffers are all reused, which removes the
+// dominant per-trace allocation cost on the checking hot path.
+var checkerPool = sync.Pool{New: func() any { return NewShardedChecker(nil, Config{}) }}
 
-// Pool and shadow-memory accounting for the observability plane. The
-// counters are process-global like the pool itself: two atomic adds per
-// checked trace, nothing on the per-op path.
+// Checking-tier accounting for the observability plane. The counters are
+// process-global: a few atomic adds per checked trace, nothing on the
+// per-op path.
 var (
-	statePoolGets   atomic.Uint64
-	statePoolMisses atomic.Uint64
-	// shadowIntervalsLast/Max track the interval population of the most
-	// recently checked trace's shadow memory and its high-water mark —
-	// the "is shadow memory growing without bound?" gauge a long-lived
-	// session needs.
+	// checksTotal counts checked traces; checksCold those that ran on a
+	// checker's first trace and so could not reuse a warm State.
+	checksTotal atomic.Uint64
+	checksCold  atomic.Uint64
+	// shadowIntervalsLast/Max track the most recently checked trace's
+	// CheckStats.PeakIntervals and its high-water mark — the "is shadow
+	// memory growing without bound?" gauge a long-lived session needs.
 	shadowIntervalsLast atomic.Uint64
 	shadowIntervalsMax  atomic.Uint64
 )
 
 // ResourceStats reports checking-tier resource accounting for the
-// observability snapshot: state-pool hit/miss traffic and live
-// shadow-memory interval counts. Sessions wire it into their metrics
-// registry via obs.(*Metrics).SetResourceFn.
+// observability snapshot: warm-state reuse and shadow-memory interval
+// counts. Sessions wire it into their metrics registry via
+// obs.(*Metrics).SetResourceFn.
 func ResourceStats() obs.Resources {
-	gets, misses := statePoolGets.Load(), statePoolMisses.Load()
+	gets, misses := checksTotal.Load(), checksCold.Load()
 	r := obs.Resources{
 		StatePoolGets:       gets,
 		StatePoolMisses:     misses,
@@ -70,15 +77,7 @@ func ResourceStats() obs.Resources {
 	return r
 }
 
-// recordShadowStats publishes the interval population of a just-checked
-// state before it is Reset for the pool.
-func recordShadowStats(s *State) {
-	n := uint64(s.Mem.Len() + s.Log.Len() + s.Written.Len() + s.Excluded.Len())
-	recordShadowPeak(n)
-}
-
-// recordShadowPeak publishes a shadow-memory interval population sample
-// (the sharded path reports its summed per-stripe peak here).
+// recordShadowPeak publishes a checked trace's CheckStats.PeakIntervals.
 func recordShadowPeak(n uint64) {
 	shadowIntervalsLast.Store(n)
 	for {
@@ -89,93 +88,6 @@ func recordShadowPeak(n uint64) {
 	}
 }
 
-// CheckTraceExcluding is CheckTrace with session-wide static exclusions
-// seeded into the fresh state of every trace (library metadata regions —
-// undo logs, allocator headers — are excluded for the whole run rather
-// than re-announced in each trace section).
-//
-// The checking state is drawn from an internal pool; CheckTraceInto is
-// the same computation against a caller-managed State.
-func CheckTraceExcluding(rules RuleSet, t *trace.Trace, excludes []Range) Report {
-	statePoolGets.Add(1)
-	s := statePool.Get().(*State)
-	rep := CheckTraceInto(s, rules, t, excludes)
-	recordShadowStats(s)
-	s.Reset() // detaches rep's diagnostics before the state is reused
-	statePool.Put(s)
-	return rep
-}
-
-// CheckTraceInto runs the checking rules over t using s, which must be
-// freshly constructed or Reset. The returned Report owns the accumulated
-// diagnostics slice; s may be Reset and reused afterwards.
-//
-// A panic inside the checking rules — a hostile trace, a malformed op, a
-// buggy custom RuleSet — is recovered into a CodeCheckerPanic diagnostic
-// and the report produced so far is returned, so one poisoned trace
-// cannot kill the engine's worker (or the whole process).
-func CheckTraceInto(s *State, rules RuleSet, t *trace.Trace, excludes []Range) (rep Report) {
-	tracked := 0
-	defer func() {
-		if r := recover(); r != nil {
-			op := trace.Op{}
-			if s.opIndex < len(t.Ops) {
-				op = t.Ops[s.opIndex]
-			}
-			s.diags = append(s.diags, Diagnostic{
-				Severity: SeverityFail,
-				Code:     CodeCheckerPanic,
-				Message: fmt.Sprintf("checking rules panicked at op %d (%s): %v; %d of %d ops checked",
-					s.opIndex, op, r, s.opIndex, len(t.Ops)),
-				Site:    opSite(op),
-				OpIndex: s.opIndex,
-			})
-			rep = Report{TraceID: t.ID, Thread: t.Thread, Ops: len(t.Ops),
-				TrackedOps: tracked, Diags: s.diags}
-		}
-	}()
-	for _, r := range excludes {
-		s.Excluded.Set(r.Addr, r.Addr+r.Size, struct{}{})
-	}
-	for i, op := range t.Ops {
-		if !op.Kind.IsChecker() {
-			tracked++
-		}
-		s.opIndex = i
-		rules.Apply(s, op)
-		if len(s.diags) >= maxDiagsPerTrace {
-			s.diags = append(s.diags, Diagnostic{
-				Severity: SeverityInfo,
-				Code:     CodeTruncated,
-				Message: fmt.Sprintf("diagnostics capped at %d; %d of %d ops checked",
-					maxDiagsPerTrace, i+1, len(t.Ops)),
-				Site:    "?",
-				OpIndex: i,
-			})
-			break
-		}
-	}
-	if s.TxCheckActive {
-		s.report(SeverityWarn, CodeUnbalancedTx, "?", "",
-			"trace ended with an open TX_CHECKER scope")
-	}
-	return Report{TraceID: t.ID, Thread: t.Thread, Ops: len(t.Ops), TrackedOps: tracked, Diags: s.diags}
-}
-
-// trackOnly walks the trace without applying rules. It models the
-// "PMTest Framework" bar of Fig. 10b: the cost of tracking and shipping
-// operations without validating any checkers. The non-checker op count is
-// carried in the report so track-only runs still measure real work.
-func trackOnly(t *trace.Trace) Report {
-	n := 0
-	for _, op := range t.Ops {
-		if !op.Kind.IsChecker() {
-			n++
-		}
-	}
-	return Report{TraceID: t.ID, Thread: t.Thread, Ops: len(t.Ops), TrackedOps: n}
-}
-
 // Options configures an Engine.
 type Options struct {
 	// Rules selects the persistency model; defaults to X86.
@@ -183,18 +95,14 @@ type Options struct {
 	// Workers is the number of checking worker threads (paper §4.4,
 	// Fig. 8); defaults to 1 as in the paper's evaluation (§6.1).
 	Workers int
-	// TrackOnly disables checker validation, leaving only operation
-	// tracking. Used to separate framework overhead from checking
-	// overhead (Fig. 10b).
-	TrackOnly bool
 	// QueueDepth bounds each worker's task queue; Submit blocks when the
 	// queue is full, applying back-pressure like the paper's kernel FIFO.
 	QueueDepth int
 	// StaticExcludes are ranges excluded from checking in every trace.
 	StaticExcludes []Range
-	// Check configures the sharded streaming checker and its epoch GC.
-	// The zero value keeps the pooled single-state path; Shards > 1 gives
-	// each worker its own ShardedChecker with byte-identical reports.
+	// Check configures every worker's ShardedChecker: address stripes,
+	// epoch GC, or track-only. The zero value checks serially with GC
+	// off; any setting keeps reports byte-identical to CheckTrace.
 	Check Config
 	// Observer, when non-nil, receives per-trace lifecycle events
 	// (submit, dequeue, checked) plus backpressure stalls. When nil the
@@ -240,8 +148,7 @@ type Engine struct {
 	opts   Options
 	queues []chan task
 	done   sync.WaitGroup
-	// checkers holds one ShardedChecker per worker when Options.Check is
-	// active (striping and/or epoch GC); nil otherwise.
+	// checkers holds each worker's own ShardedChecker, indexed by worker.
 	checkers []*ShardedChecker
 
 	mu        sync.Mutex
@@ -259,12 +166,10 @@ func NewEngine(opts Options) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{opts: opts}
 	e.idle.L = &e.mu
-	if opts.Check.active() && !opts.TrackOnly {
-		e.checkers = make([]*ShardedChecker, opts.Workers)
-		for i := range e.checkers {
-			e.checkers[i] = NewShardedChecker(opts.Rules, opts.Check)
-			e.checkers[i].Timed = opts.Observer != nil
-		}
+	e.checkers = make([]*ShardedChecker, opts.Workers)
+	for i := range e.checkers {
+		e.checkers[i] = NewShardedChecker(opts.Rules, opts.Check)
+		e.checkers[i].Timed = opts.Observer != nil
 	}
 	e.queues = make([]chan task, opts.Workers)
 	for i := range e.queues {
@@ -278,6 +183,7 @@ func NewEngine(opts Options) *Engine {
 
 func (e *Engine) worker(id int, q <-chan task) {
 	defer e.done.Done()
+	ck := e.checkers[id]
 	ob := e.opts.Observer
 	lg := e.opts.Logger
 	for tk := range q {
@@ -287,17 +193,7 @@ func (e *Engine) worker(id int, q <-chan task) {
 			start = time.Now()
 			ob.TraceDequeued(t.ID, id, start.Sub(tk.enq))
 		}
-		var r Report
-		var stats CheckStats
-		switch {
-		case e.opts.TrackOnly:
-			r = trackOnly(t)
-		case e.checkers != nil:
-			r, stats = e.checkers[id].Check(t, e.opts.StaticExcludes)
-			recordShadowPeak(uint64(stats.PeakIntervals))
-		default:
-			r = CheckTraceExcluding(e.opts.Rules, t, e.opts.StaticExcludes)
-		}
+		r, stats := ck.Check(t, e.opts.StaticExcludes)
 		if ob != nil {
 			ev := ReportEvent(t, r, id, start.Sub(tk.enq), time.Since(start))
 			if stats.StripeDurs != nil {
@@ -453,7 +349,7 @@ func (e *Engine) QueueDepths() []int {
 // stripe, summed across the engine's workers — the sharded counterpart
 // of QueueDepths. Nil when the engine checks serially.
 func (e *Engine) StripeDepths() []int64 {
-	if e.checkers == nil || !e.opts.Check.Sharded() {
+	if !e.opts.Check.Sharded() {
 		return nil
 	}
 	out := make([]int64, e.opts.Check.Shards)

@@ -36,7 +36,7 @@ func FuzzShardRouter(f *testing.F) {
 			}
 		}
 		tr := &trace.Trace{Ops: ops}
-		cfg := Config{Shards: int(shards%8) + 2, ChunkBits: 8}
+		cfg := Config{Shards: int(shards%8) + 2, chunkBits: 8}
 		// The oracle is like-for-like: striping must never change a
 		// report at equal GC settings. (GC-on vs GC-off is NOT invariant
 		// on adversarial soup — a flush of a range whose intervals
@@ -48,13 +48,13 @@ func FuzzShardRouter(f *testing.F) {
 		serialGC := Config{Shards: 1, EpochGC: true}
 		for _, rules := range []RuleSet{X86{}, HOPS{}, Epoch{}} {
 			want := renderReport(CheckTrace(rules, tr))
-			rep, _ := CheckTraceCfg(rules, tr, nil, cfg)
+			rep, _ := checkOnce(rules, tr, nil, cfg)
 			if got := renderReport(rep); got != want {
 				t.Fatalf("sharded diverges under %s cfg %+v\n--- serial ---\n%s--- sharded ---\n%s",
 					rules.Name(), cfg, want, got)
 			}
-			gcWant, _ := CheckTraceCfg(rules, tr, nil, serialGC)
-			gcRep, _ := CheckTraceCfg(rules, tr, nil, gcCfg)
+			gcWant, _ := checkOnce(rules, tr, nil, serialGC)
+			gcRep, _ := checkOnce(rules, tr, nil, gcCfg)
 			if got, want := renderReport(gcRep), renderReport(gcWant); got != want {
 				t.Fatalf("sharded+GC diverges from serial+GC under %s cfg %+v\n--- serial+gc ---\n%s--- sharded+gc ---\n%s",
 					rules.Name(), gcCfg, want, got)

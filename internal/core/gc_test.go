@@ -107,8 +107,8 @@ func TestGCBoundsStreamingMemory(t *testing.T) {
 	}
 	tr := &trace.Trace{Ops: ops}
 
-	noGC, statsOff := CheckTraceCfg(X86{}, tr, nil, Config{Shards: 1})
-	withGC, statsOn := CheckTraceCfg(X86{}, tr, nil, Config{Shards: 1, EpochGC: true})
+	noGC, statsOff := checkOnce(X86{}, tr, nil, Config{Shards: 1})
+	withGC, statsOn := checkOnce(X86{}, tr, nil, Config{Shards: 1, EpochGC: true})
 	if !noGC.Clean() || !withGC.Clean() {
 		t.Fatalf("streaming trace flagged: gc-off clean=%v gc-on clean=%v", noGC.Clean(), withGC.Clean())
 	}
@@ -142,8 +142,8 @@ func TestGCShardedEquivalenceStreaming(t *testing.T) {
 		ops = append(ops, trace.Op{Kind: trace.KindFence})
 	}
 	tr := &trace.Trace{Ops: ops}
-	want := renderReport(CheckTraceExcluding(X86{}, tr, nil))
-	rep, stats := CheckTraceCfg(X86{}, tr, nil, Config{Shards: 4, EpochGC: true})
+	want := renderReport(CheckTrace(X86{}, tr))
+	rep, stats := checkOnce(X86{}, tr, nil, Config{Shards: 4, EpochGC: true})
 	if got := renderReport(rep); got != want {
 		t.Fatalf("sharded+GC streaming diverges\n--- serial ---\n%s--- sharded ---\n%s", want, got)
 	}

@@ -215,7 +215,7 @@ func TestTrackOnlyReportsTrackedOps(t *testing.T) {
 		{Kind: trace.KindIsPersist, Addr: 0x10, Size: 64}, // checker
 		{Kind: trace.KindTxCheckerEnd},                    // checker
 	}
-	e := NewEngine(Options{TrackOnly: true})
+	e := NewEngine(Options{Check: Config{TrackOnly: true}})
 	e.Submit(&trace.Trace{Ops: ops})
 	reports := e.Close()
 	if len(reports) != 1 {
@@ -232,6 +232,36 @@ func TestTrackOnlyReportsTrackedOps(t *testing.T) {
 	full := CheckTrace(X86{}, &trace.Trace{Ops: ops})
 	if full.TrackedOps != 3 {
 		t.Fatalf("checked TrackedOps = %d, want 3", full.TrackedOps)
+	}
+}
+
+// TestEngineShadowGaugeIsPeakIntervals: the ShadowIntervalsLive gauge
+// an engine publishes is the checker's CheckStats.PeakIntervals for the
+// same trace (static exclusions do not count), and a worker's warm
+// checker counts as a state hit, so the hit rate stays meaningful.
+func TestEngineShadowGaugeIsPeakIntervals(t *testing.T) {
+	ops := obsTxOps(8)
+	excludes := []Range{{Addr: 0x100000, Size: 64}}
+	_, want := checkOnce(X86{}, &trace.Trace{Ops: ops}, excludes, Config{})
+	if want.PeakIntervals == 0 {
+		t.Fatal("offline check saw no shadow intervals")
+	}
+	before := ResourceStats()
+	e := NewEngine(Options{StaticExcludes: excludes})
+	e.Submit(&trace.Trace{Ops: ops})
+	e.Wait()
+	if got := ResourceStats().ShadowIntervalsLive; got != uint64(want.PeakIntervals) {
+		t.Fatalf("ShadowIntervalsLive = %d, want offline PeakIntervals %d", got, want.PeakIntervals)
+	}
+	for i := 0; i < 9; i++ {
+		e.Submit(&trace.Trace{Ops: ops})
+	}
+	e.Close()
+	after := ResourceStats()
+	gets := after.StatePoolGets - before.StatePoolGets
+	misses := after.StatePoolMisses - before.StatePoolMisses
+	if gets != 10 || misses != 1 {
+		t.Fatalf("state gets/misses = %d/%d over 10 traces on one worker, want 10/1", gets, misses)
 	}
 }
 

@@ -11,22 +11,14 @@ import (
 	"pmtest/internal/trace"
 )
 
-// Config selects the sharded streaming checker and its epoch GC. The zero
-// value is today's behavior: one serial State per trace, no GC.
+// Config selects how a ShardedChecker checks each trace: address
+// striping, epoch GC, or tracking alone. The zero value checks serially
+// on one State with GC off. Engines, the dist local fallback and
+// CheckTrace all check through a checker built from one Config.
 type Config struct {
 	// Shards is the number of address stripes checked concurrently.
 	// <= 1 keeps the single-state serial path.
 	Shards int
-	// ChunkBits is log2 of the minimum stripe chunk size: addresses are
-	// assigned to stripes by (addr >> bits) % Shards, so consecutive
-	// chunks of 1<<bits bytes rotate across stripes. Default 12 (4 KiB
-	// pages). Splitting one operation's range across stripes would change
-	// segment boundaries and with them diagnostic bytes, so the planner
-	// coarsens the chunk size per trace until no op spans a chunk
-	// (stripe state is reset per trace, making the geometry free to
-	// vary); only a range wider than maxChunkBits forces the whole trace
-	// onto the serial path.
-	ChunkBits uint
 	// EpochGC retires shadow-memory segments whose persist and flush
 	// intervals both closed at least GCLag epochs before the current one,
 	// bounding live intervals over long streaming runs.
@@ -34,14 +26,28 @@ type Config struct {
 	// GCLag is the retirement age in epochs; default 2. A larger lag
 	// keeps more history for late flush/order checks of old ranges.
 	GCLag uint64
+	// TrackOnly skips checker validation and reports only the op counts,
+	// separating framework overhead from checking overhead (Fig. 10b).
+	TrackOnly bool
+
+	// chunkBits is log2 of the minimum stripe chunk size: addresses are
+	// assigned to stripes by (addr >> bits) % Shards, so consecutive
+	// chunks of 1<<bits bytes rotate across stripes. Default 12 (4 KiB
+	// pages); tests shrink it so small addresses spread. Splitting one
+	// operation's range across stripes would change segment boundaries
+	// and with them diagnostic bytes, so the planner coarsens the chunk
+	// size per trace until no op spans a chunk (stripe state is reset
+	// per trace, making the geometry free to vary); only a range wider
+	// than maxChunkBits forces the whole trace onto the serial path.
+	chunkBits uint
 }
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.ChunkBits == 0 {
-		c.ChunkBits = 12
+	if c.chunkBits == 0 {
+		c.chunkBits = 12
 	}
 	if c.GCLag == 0 {
 		c.GCLag = 2
@@ -50,11 +56,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Sharded reports whether the config asks for the striped path.
-func (c Config) Sharded() bool { return c.Shards > 1 }
-
-// active reports whether the config changes anything relative to the
-// plain pooled serial path (striping or GC).
-func (c Config) active() bool { return c.Shards > 1 || c.EpochGC }
+func (c Config) Sharded() bool { return c.Shards > 1 && !c.TrackOnly }
 
 // CheckStats is per-trace resource accounting from the configured
 // checker: shadow-memory pressure and GC work, plus per-stripe checking
@@ -65,7 +67,9 @@ type CheckStats struct {
 	// range crossing a chunk boundary forced the fallback).
 	Sharded bool
 	// PeakIntervals is the high-water mark of live shadow-memory
-	// segments, sampled at every fence (summed across stripes).
+	// segments, sampled at every fence and at the end of the trace
+	// (summed across stripes). It is the one definition behind the
+	// ShadowIntervalsLive/Max gauges of ResourceStats.
 	PeakIntervals int
 	// RetiredIntervals counts segments retired by epoch GC.
 	RetiredIntervals uint64
@@ -119,6 +123,9 @@ type cut struct {
 // every stripe so each replays the same epoch and transaction structure.
 // Per-stripe diagnostics are merged deterministically back into the
 // serial emission order, so reports are byte-identical to CheckTrace.
+// With one stripe, a custom rule set, or a trace the planner cannot
+// route, it checks serially on one reused State. It is the only checker:
+// engine workers, the dist local fallback and CheckTrace all use it.
 //
 // A checker is NOT safe for concurrent Check calls; each engine worker
 // owns one. Close releases the stripe goroutines.
@@ -127,7 +134,8 @@ type ShardedChecker struct {
 	rules     RuleSet
 	byStart   bool
 	striped   bool // Shards > 1 and rules shardable
-	chunkBits uint // effective bits for the current trace (>= cfg.ChunkBits)
+	chunkBits uint // effective bits for the current trace (>= cfg.chunkBits)
+	warm      bool // a trace has been checked; its states are reused
 
 	// Timed enables per-stripe duration accounting in CheckStats. Set it
 	// before the first Check; it must not be flipped concurrently.
@@ -162,7 +170,7 @@ func NewShardedChecker(rules RuleSet, cfg Config) *ShardedChecker {
 		cfg:     cfg,
 		rules:   rules,
 		byStart: byStart,
-		striped: ok && cfg.Shards > 1,
+		striped: ok && cfg.Sharded(),
 	}
 	if !c.striped {
 		return c
@@ -267,7 +275,7 @@ func (c *ShardedChecker) addCut(opIdx int32) {
 // diagnostic bytes. plan returns false only when an op spans more than
 // 1<<maxChunkBits bytes, which sends the whole trace to the serial path.
 func (c *ShardedChecker) plan(ops []trace.Op) bool {
-	c.chunkBits = c.cfg.ChunkBits
+	c.chunkBits = c.cfg.chunkBits
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
@@ -331,14 +339,53 @@ func (c *ShardedChecker) plan(ops []trace.Op) bool {
 
 // Check runs one trace through the configured checker and returns its
 // report plus resource stats. Reports are byte-identical to
-// CheckTrace(rules, t) regardless of path taken.
+// CheckTrace(rules, t) regardless of path taken. excludes are
+// session-wide static exclusions (library metadata such as undo logs)
+// seeded into every trace's fresh shadow memory.
 func (c *ShardedChecker) Check(t *trace.Trace, excludes []Range) (Report, CheckStats) {
-	if c.striped && c.plan(t.Ops) {
-		if rep, stats, ok := c.checkStriped(t, excludes); ok {
-			return rep, stats
-		}
+	if c.cfg.TrackOnly {
+		return Report{TraceID: t.ID, Thread: t.Thread, Ops: len(t.Ops),
+			TrackedOps: trackedThrough(t.Ops, len(t.Ops)-1)}, CheckStats{}
 	}
-	return c.checkSerial(t, excludes)
+	checksTotal.Add(1)
+	if !c.warm {
+		checksCold.Add(1)
+		c.warm = true
+	}
+	var rep Report
+	var stats CheckStats
+	ok := false
+	if c.striped && c.plan(t.Ops) {
+		rep, stats, ok = c.checkStriped(t, excludes)
+	}
+	if !ok {
+		rep, stats = c.checkSerial(t, excludes)
+	}
+	recordShadowPeak(uint64(stats.PeakIntervals))
+	if stats.RetiredIntervals > 0 {
+		gcRetiredTotal.Add(stats.RetiredIntervals)
+	}
+	return rep, stats
+}
+
+// prepare gives s a fresh shadow memory for the next trace under the
+// checker's config: reset, GC settings, and the static exclusions.
+func (c *ShardedChecker) prepare(s *State, excludes []Range) {
+	s.Reset()
+	s.gcOn = c.cfg.EpochGC
+	s.gcLag = c.cfg.GCLag
+	for _, r := range excludes {
+		s.Excluded.Set(r.Addr, r.Addr+r.Size, struct{}{})
+	}
+}
+
+// peak folds the end-of-trace population into s's fence-sampled
+// high-water mark and returns it.
+func peak(s *State) int {
+	if n := s.Mem.Len(); n > s.peakIntervals {
+		s.peakIntervals = n
+	}
+	return s.peakIntervals
 }
 
 // checkStriped runs the stripe path. ok is false when any stripe (or the
@@ -354,13 +401,8 @@ func (c *ShardedChecker) checkStriped(t *trace.Trace, excludes []Range) (rep Rep
 	}()
 	c.ops = t.Ops
 	for i, s := range c.states {
-		s.Reset()
+		c.prepare(s, excludes)
 		s.muted = i != 0
-		s.gcOn = c.cfg.EpochGC
-		s.gcLag = c.cfg.GCLag
-		for _, r := range excludes {
-			s.Excluded.Set(r.Addr, r.Addr+r.Size, struct{}{})
-		}
 		c.stopped[i] = false
 		c.starts[i] = 0
 		c.ends[i] = int32(len(c.lists[i]))
@@ -390,16 +432,12 @@ func (c *ShardedChecker) checkStriped(t *trace.Trace, excludes []Range) (rep Rep
 	rep = c.mergeReport(t)
 	stats.Sharded = true
 	for _, s := range c.states {
-		if n := s.Mem.Len(); n > s.peakIntervals {
-			s.peakIntervals = n
-		}
-		stats.PeakIntervals += s.peakIntervals
+		stats.PeakIntervals += peak(s)
 		stats.RetiredIntervals += s.gcRetired
 	}
 	if c.Timed {
 		stats.StripeDurs = c.stripeDurs
 	}
-	gcRetiredTotal.Add(stats.RetiredIntervals)
 	return rep, stats, true
 }
 
@@ -411,16 +449,62 @@ func (c *ShardedChecker) checkSerial(t *trace.Trace, excludes []Range) (Report, 
 		c.serial = NewState()
 	}
 	s := c.serial
-	s.Reset()
-	s.gcOn = c.cfg.EpochGC
-	s.gcLag = c.cfg.GCLag
-	rep := CheckTraceInto(s, c.rules, t, excludes)
-	if n := s.Mem.Len(); n > s.peakIntervals {
-		s.peakIntervals = n
+	c.prepare(s, excludes)
+	rep := c.apply(s, t)
+	return rep, CheckStats{PeakIntervals: peak(s), RetiredIntervals: s.gcRetired}
+}
+
+// apply runs the rules over every op of t against the prepared state s.
+// The returned Report owns the accumulated diagnostics slice; s is
+// detached from it by the next prepare.
+//
+// A panic inside the checking rules — a hostile trace, a malformed op, a
+// buggy custom RuleSet — is recovered into a CodeCheckerPanic diagnostic
+// and the report produced so far is returned, so one poisoned trace
+// cannot kill the engine's worker (or the whole process).
+func (c *ShardedChecker) apply(s *State, t *trace.Trace) (rep Report) {
+	tracked := 0
+	defer func() {
+		if r := recover(); r != nil {
+			op := trace.Op{}
+			if s.opIndex < len(t.Ops) {
+				op = t.Ops[s.opIndex]
+			}
+			s.diags = append(s.diags, Diagnostic{
+				Severity: SeverityFail,
+				Code:     CodeCheckerPanic,
+				Message: fmt.Sprintf("checking rules panicked at op %d (%s): %v; %d of %d ops checked",
+					s.opIndex, op, r, s.opIndex, len(t.Ops)),
+				Site:    opSite(op),
+				OpIndex: s.opIndex,
+			})
+			rep = Report{TraceID: t.ID, Thread: t.Thread, Ops: len(t.Ops),
+				TrackedOps: tracked, Diags: s.diags}
+		}
+	}()
+	for i, op := range t.Ops {
+		if !op.Kind.IsChecker() {
+			tracked++
+		}
+		s.opIndex = i
+		c.rules.Apply(s, op)
+		if len(s.diags) >= maxDiagsPerTrace {
+			s.diags = append(s.diags, Diagnostic{
+				Severity: SeverityInfo,
+				Code:     CodeTruncated,
+				Message: fmt.Sprintf("diagnostics capped at %d; %d of %d ops checked",
+					maxDiagsPerTrace, i+1, len(t.Ops)),
+				Site:    "?",
+				OpIndex: i,
+			})
+			break
+		}
 	}
-	stats := CheckStats{PeakIntervals: s.peakIntervals, RetiredIntervals: s.gcRetired}
-	gcRetiredTotal.Add(s.gcRetired)
-	return rep, stats
+	if s.TxCheckActive {
+		s.report(SeverityWarn, CodeUnbalancedTx, "?", "",
+			"trace ended with an open TX_CHECKER scope")
+	}
+	return Report{TraceID: t.ID, Thread: t.Thread, Ops: len(t.Ops), TrackedOps: tracked, Diags: s.diags}
 }
 
 // runPhase dispatches each stripe's list slice [from[i], to[i]) to its
@@ -525,7 +609,7 @@ func txCheckActiveAfter(ops []trace.Op, j int) bool {
 	return active
 }
 
-// openCheckerWarn is the trailing diagnostic CheckTraceInto emits when a
+// openCheckerWarn is the trailing diagnostic apply emits when a
 // trace ends (or truncates) inside an open TX_CHECKER scope.
 func openCheckerWarn(opIndex int) Diagnostic {
 	return Diagnostic{
@@ -606,13 +690,4 @@ func (c *ShardedChecker) mergeReport(t *trace.Trace) Report {
 	}
 	rep.Diags = merged
 	return rep
-}
-
-// CheckTraceCfg checks one trace under an explicit sharding/GC config.
-// It is the one-shot form used by golden-equivalence tests; engines and
-// benchmarks hold a persistent ShardedChecker instead.
-func CheckTraceCfg(rules RuleSet, t *trace.Trace, excludes []Range, cfg Config) (Report, CheckStats) {
-	c := NewShardedChecker(rules, cfg)
-	defer c.Close()
-	return c.Check(t, excludes)
 }

@@ -22,12 +22,20 @@ func renderReport(r Report) string {
 	return b.String()
 }
 
+// checkOnce checks one trace on a fresh checker built from cfg.
+func checkOnce(rules RuleSet, tr *trace.Trace, excludes []Range, cfg Config) (Report, CheckStats) {
+	c := NewShardedChecker(rules, cfg)
+	defer c.Close()
+	return c.Check(tr, excludes)
+}
+
 // checkEquiv asserts the sharded report is byte-identical to the serial
 // one and that the expected path (striped vs fallback) was taken.
 func checkEquiv(t *testing.T, rules RuleSet, tr *trace.Trace, excludes []Range, cfg Config, wantSharded bool) {
 	t.Helper()
-	want := renderReport(CheckTraceExcluding(rules, tr, excludes))
-	rep, stats := CheckTraceCfg(rules, tr, excludes, cfg)
+	serial, _ := checkOnce(rules, tr, excludes, Config{})
+	want := renderReport(serial)
+	rep, stats := checkOnce(rules, tr, excludes, cfg)
 	if got := renderReport(rep); got != want {
 		t.Fatalf("sharded report diverges (%s, cfg %+v)\n--- serial ---\n%s--- sharded ---\n%s",
 			rules.Name(), cfg, want, got)
@@ -41,10 +49,10 @@ func checkEquiv(t *testing.T, rules RuleSet, tr *trace.Trace, excludes []Range, 
 // counts (including one exceeding the address spread) with small chunks
 // so test addresses actually distribute.
 var shardCfgs = []Config{
-	{Shards: 2, ChunkBits: 8},
-	{Shards: 4, ChunkBits: 8},
-	{Shards: 7, ChunkBits: 8},
-	{Shards: 4, ChunkBits: 8, EpochGC: true},
+	{Shards: 2, chunkBits: 8},
+	{Shards: 4, chunkBits: 8},
+	{Shards: 7, chunkBits: 8},
+	{Shards: 4, chunkBits: 8, EpochGC: true},
 }
 
 // chunkAddr places object i at a 64-byte-aligned address in chunk
@@ -204,7 +212,7 @@ func TestShardedEquivalence(t *testing.T) {
 func TestShardedEquivalenceStaticExcludes(t *testing.T) {
 	tr := equivTraces()["writeback-warns"]
 	excludes := []Range{{Addr: 0x700, Size: 64}}
-	checkEquiv(t, X86{}, tr, excludes, Config{Shards: 4, ChunkBits: 8}, true)
+	checkEquiv(t, X86{}, tr, excludes, Config{Shards: 4, chunkBits: 8}, true)
 }
 
 // TestShardedTruncation drives the per-trace diagnostic cap: the merged
@@ -248,7 +256,7 @@ func TestShardedSpanningRangeCoarsens(t *testing.T) {
 	ops = append(ops, trace.Op{Kind: trace.KindFence},
 		trace.Op{Kind: trace.KindIsPersist, Addr: 0xF0, Size: 64})
 	tr := &trace.Trace{Ops: ops}
-	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, ChunkBits: 8}, true)
+	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, chunkBits: 8}, true)
 }
 
 // TestShardedFallbackGiantRange: an op spanning more than 1<<maxChunkBits
@@ -261,7 +269,7 @@ func TestShardedFallbackGiantRange(t *testing.T) {
 		{Kind: trace.KindFence},
 		{Kind: trace.KindIsPersist, Addr: 0xF0, Size: 1 << 25},
 	}}
-	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, ChunkBits: 8}, false)
+	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, chunkBits: 8}, false)
 }
 
 // customRules is a RuleSet the router does not know; it must force the
@@ -272,7 +280,7 @@ func (customRules) Name() string { return "custom" }
 
 func TestShardedFallbackCustomRules(t *testing.T) {
 	tr := equivTraces()["clean-tx"]
-	checkEquiv(t, customRules{}, tr, nil, Config{Shards: 4, ChunkBits: 8}, false)
+	checkEquiv(t, customRules{}, tr, nil, Config{Shards: 4, chunkBits: 8}, false)
 }
 
 // TestShardedChunkDefaults: the default 4 KiB chunks shard the harness
@@ -287,7 +295,7 @@ func TestShardedChunkDefaults(t *testing.T) {
 	}
 	ops = append(ops, trace.Op{Kind: trace.KindFence})
 	tr := &trace.Trace{Ops: ops}
-	rep, stats := CheckTraceCfg(X86{}, tr, nil, Config{Shards: 4})
+	rep, stats := checkOnce(X86{}, tr, nil, Config{Shards: 4})
 	if !stats.Sharded {
 		t.Fatal("default chunking fell back to serial on aligned lines")
 	}
@@ -303,12 +311,12 @@ func TestShardedCheckerReuse(t *testing.T) {
 	traces := equivTraces()
 	names := []string{"clean-tx", "incomplete-tx", "unbalanced", "ordered-cross",
 		"clean-tx", "writeback-warns", "empty", "not-persisted", "clean-tx"}
-	c := NewShardedChecker(X86{}, Config{Shards: 4, ChunkBits: 8, EpochGC: true})
+	c := NewShardedChecker(X86{}, Config{Shards: 4, chunkBits: 8, EpochGC: true})
 	defer c.Close()
 	for round := 0; round < 3; round++ {
 		for _, name := range names {
 			tr := traces[name]
-			want := renderReport(CheckTraceExcluding(X86{}, tr, nil))
+			want := renderReport(CheckTrace(X86{}, tr))
 			rep, _ := c.Check(tr, nil)
 			if got := renderReport(rep); got != want {
 				t.Fatalf("round %d %s: reused checker diverges\n--- serial ---\n%s--- sharded ---\n%s",
@@ -323,7 +331,7 @@ func TestShardedCheckerReuse(t *testing.T) {
 // checker produces, not kill the process. panicRules (panic_test.go) is
 // a custom rule set, so this also pins the unknown-rules serial route.
 func TestShardedPanicFallback(t *testing.T) {
-	rep, stats := CheckTraceCfg(panicRules{}, poisonTrace(), nil, Config{Shards: 4, ChunkBits: 8})
+	rep, stats := checkOnce(panicRules{}, poisonTrace(), nil, Config{Shards: 4, chunkBits: 8})
 	if stats.Sharded {
 		t.Fatal("unknown rule set took the striped path")
 	}
@@ -337,7 +345,7 @@ func TestShardedPanicFallback(t *testing.T) {
 // that — so the hook is exercised with an out-of-range command) and
 // verifies the checker records the panic and stays usable afterwards.
 func TestStripeWorkerPanicRecovers(t *testing.T) {
-	c := NewShardedChecker(X86{}, Config{Shards: 2, ChunkBits: 8})
+	c := NewShardedChecker(X86{}, Config{Shards: 2, chunkBits: 8})
 	defer c.Close()
 	tr := &trace.Trace{Ops: []trace.Op{
 		{Kind: trace.KindWrite, Addr: 0x100, Size: 64},
@@ -352,7 +360,7 @@ func TestStripeWorkerPanicRecovers(t *testing.T) {
 		t.Fatal("runStripe panic was not recorded")
 	}
 	rep, _ := c.Check(tr, nil)
-	want := renderReport(CheckTraceExcluding(X86{}, tr, nil))
+	want := renderReport(CheckTrace(X86{}, tr))
 	if got := renderReport(rep); got != want {
 		t.Fatalf("checker unusable after stripe panic\n--- serial ---\n%s--- got ---\n%s", want, got)
 	}

@@ -110,7 +110,7 @@ type State struct {
 	// peakIntervals is the high-water mark of Mem.Len() sampled at fences.
 	peakIntervals int
 
-	// Scratch buffers reused across operations (and, via the state pool,
+	// Scratch buffers reused across operations (and, via the checker,
 	// across traces) so the checking hot path performs no per-op slice
 	// allocations. segScratch serves x86Flush and the first operand of
 	// isOrderedBefore; segScratch2 serves the second operand.

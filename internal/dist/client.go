@@ -154,10 +154,11 @@ type Options struct {
 	// (and the session carries a deferred error) instead of being
 	// checked by a local in-process engine.
 	DisableFallback bool
-	// TrackOnly and Excludes mirror the engine options of the sessions
-	// opened through this coordinator.
-	TrackOnly bool
-	Excludes  []core.Range
+	// Check and Excludes mirror the engine options of the sessions
+	// opened through this coordinator. Check.TrackOnly travels to the
+	// nodes; the whole Check config governs the local fallback checker.
+	Check    core.Config
+	Excludes []core.Range
 
 	// Metrics receives the dist_* robustness counters. Optional.
 	Metrics *obs.Metrics
@@ -302,6 +303,11 @@ type Session struct {
 	closed       bool
 	err          error
 	done         chan struct{}
+	// local is the fallback checker, built on first use. Its Check calls
+	// never overlap: the pump checks the head section only while it is
+	// pending, and Submit checks an oversized section only under mu with
+	// the pending buffer empty.
+	local *core.ShardedChecker
 }
 
 // OpenSession starts a checking session under the given model. The
@@ -459,6 +465,12 @@ func (s *Session) Close() []core.Report {
 		return reports
 	}
 	<-s.done
+	s.mu.Lock()
+	if s.local != nil {
+		s.local.Close()
+		s.local = nil
+	}
+	s.mu.Unlock()
 	if opened {
 		ctx, cancel := context.WithTimeout(context.Background(), s.c.opts.RPCTimeout)
 		s.c.tr.CloseSession(ctx, s.c.opts.Nodes[idx], s.sid)
@@ -619,7 +631,7 @@ func (s *Session) open(idx int, startSeq uint64) error {
 		Version:   ProtocolVersion,
 		Session:   s.sid,
 		Model:     s.rules.Name(),
-		TrackOnly: c.opts.TrackOnly,
+		TrackOnly: c.opts.Check.TrackOnly,
 		Excludes:  c.opts.Excludes,
 		StartSeq:  startSeq,
 	})
@@ -705,20 +717,15 @@ func (s *Session) failover(fromIdx int, cause error) {
 	}
 }
 
-// checkLocal is the ladder's last rung: check the section in-process,
-// exactly as a one-shot engine would, so Wait never hangs on a dead
-// fleet and the reports stay complete and identical.
+// checkLocal is the ladder's last rung: check the section in-process on
+// the session's own persistent checker, under the session's checker
+// config, so Wait never hangs on a dead fleet, the reports stay complete
+// and identical, and epoch GC keeps bounding shadow memory.
 func (s *Session) checkLocal(p *pendingSection) core.Report {
-	if s.c.opts.TrackOnly {
-		n := 0
-		for _, op := range p.tr.Ops {
-			if !op.Kind.IsChecker() {
-				n++
-			}
-		}
-		return core.Report{TraceID: int(p.seq), Thread: p.tr.Thread, Ops: len(p.tr.Ops), TrackedOps: n}
+	if s.local == nil {
+		s.local = core.NewShardedChecker(s.rules, s.c.opts.Check)
 	}
-	rep := core.CheckTraceExcluding(s.rules, p.tr, s.c.opts.Excludes)
+	rep, _ := s.local.Check(p.tr, s.c.opts.Excludes)
 	rep.TraceID = int(p.seq)
 	return rep
 }

@@ -191,8 +191,7 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 			engine: core.NewEngine(core.Options{
 				Rules:          rules,
 				Workers:        n.cfg.Workers,
-				Check:          core.Config{Shards: n.cfg.Shards, EpochGC: n.cfg.EpochGC},
-				TrackOnly:      req.TrackOnly,
+				Check:          core.Config{Shards: n.cfg.Shards, EpochGC: n.cfg.EpochGC, TrackOnly: req.TrackOnly},
 				StaticExcludes: excludes,
 				Observer:       obs.Multi(observers...),
 				Logger:         n.cfg.Logger,

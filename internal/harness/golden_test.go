@@ -1,9 +1,9 @@
 package harness
 
 // Golden-equivalence tests for the pooled checking state: CheckTrace
-// draws its State from a sync.Pool and Reset()s it between traces, so a
-// Reset bug would leak shadow-memory, epoch, or transaction state from
-// one trace into the next and silently change verdicts. These tests
+// draws a checker from a sync.Pool, whose State is Reset between traces,
+// so a Reset bug would leak shadow-memory, epoch, or transaction state
+// from one trace into the next and silently change verdicts. These tests
 // prove pooled runs produce byte-identical Reports to fresh-state runs
 // across the whisper micro suite and across bad-trace fixtures modeled
 // on the faultinject taxonomy (dropped writebacks/fences, weakened
@@ -28,6 +28,20 @@ func reportString(r core.Report) string {
 	return s
 }
 
+// checkOnce checks tr on a newly built checker whose State has never
+// checked another trace.
+func checkOnce(rules core.RuleSet, tr *trace.Trace, cfg core.Config) (core.Report, core.CheckStats) {
+	c := core.NewShardedChecker(rules, cfg)
+	defer c.Close()
+	return c.Check(tr, nil)
+}
+
+// freshReport is the serial checkOnce report.
+func freshReport(rules core.RuleSet, tr *trace.Trace) core.Report {
+	rep, _ := checkOnce(rules, tr, core.Config{})
+	return rep
+}
+
 // checkBothWays checks tr with a fresh, never-pooled State and with the
 // pooled CheckTrace path, after deliberately dirtying the pool with a
 // state-heavy trace, and fails on any report difference.
@@ -45,7 +59,7 @@ func checkBothWays(t *testing.T, name string, rules core.RuleSet, tr *trace.Trac
 	}}
 	core.CheckTrace(rules, dirty)
 
-	fresh := core.CheckTraceInto(core.NewState(), rules, tr, nil)
+	fresh := freshReport(rules, tr)
 	pooled := core.CheckTrace(rules, tr)
 	if got, want := reportString(pooled), reportString(fresh); got != want {
 		t.Errorf("%s [%s]: pooled report differs from fresh-state report\nfresh:\n%s\npooled:\n%s",
@@ -174,7 +188,7 @@ func TestPooledStateGoldenBadTraces(t *testing.T) {
 			t.Fatalf("%s: %v", store, err)
 		}
 		for name, tr := range badTraceFixtures(sections) {
-			if core.CheckTraceInto(core.NewState(), core.X86{}, tr, nil).Clean() {
+			if freshReport(core.X86{}, tr).Clean() {
 				t.Errorf("%s/%s: fixture produced no diagnostics; perturbation is a no-op", store, name)
 			}
 			checkBothWays(t, store+"/"+name, core.X86{}, tr)

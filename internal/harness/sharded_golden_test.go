@@ -70,9 +70,9 @@ func writeDiffArtifact(t *testing.T, name, serial, sharded string) {
 // checker and under every sharded configuration.
 func checkShardedWays(t *testing.T, name string, rules core.RuleSet, tr *trace.Trace) {
 	t.Helper()
-	want := reportString(core.CheckTraceInto(core.NewState(), rules, tr, nil))
+	want := reportString(freshReport(rules, tr))
 	for _, cfg := range shardedCfgs {
-		rep, _ := core.CheckTraceCfg(rules, tr, nil, cfg)
+		rep, _ := checkOnce(rules, tr, cfg)
 		if got := reportString(rep); got != want {
 			full := fmt.Sprintf("%s/%s/%s", name, rules.Name(), cfgName(cfg))
 			writeDiffArtifact(t, full, want, got)
@@ -115,7 +115,7 @@ func TestShardedGoldenBadTraces(t *testing.T) {
 			t.Fatalf("%s: %v", store, err)
 		}
 		for name, tr := range badTraceFixtures(sections) {
-			if core.CheckTraceInto(core.NewState(), core.X86{}, tr, nil).Clean() {
+			if freshReport(core.X86{}, tr).Clean() {
 				t.Errorf("%s/%s: fixture produced no diagnostics; perturbation is a no-op", store, name)
 			}
 			checkShardedWays(t, store+"/"+name, core.X86{}, tr)
@@ -201,7 +201,7 @@ func TestShardedGoldenKFIFOPipeline(t *testing.T) {
 		if tr == nil {
 			break
 		}
-		want := reportString(core.CheckTraceInto(core.NewState(), core.X86{}, tr, nil))
+		want := reportString(freshReport(core.X86{}, tr))
 		rep, _ := c.Check(tr, nil)
 		if got := reportString(rep); got != want {
 			writeDiffArtifact(t, fmt.Sprintf("kfifo/section%d", i), want, got)
@@ -229,8 +229,8 @@ func TestShardedGoldenForcedGC(t *testing.T) {
 	}
 	tr := &trace.Trace{Ops: all}
 	cfg := core.Config{Shards: 4, EpochGC: true, GCLag: 1}
-	want := reportString(core.CheckTraceInto(core.NewState(), core.X86{}, tr, nil))
-	rep, stats := core.CheckTraceCfg(core.X86{}, tr, nil, cfg)
+	want := reportString(freshReport(core.X86{}, tr))
+	rep, stats := checkOnce(core.X86{}, tr, cfg)
 	if got := reportString(rep); got != want {
 		writeDiffArtifact(t, store+"/forced-gc", want, got)
 		t.Fatalf("forced-GC run diverges from serial\nserial:\n%s\nsharded:\n%s", want, got)

@@ -384,15 +384,20 @@ type Metrics struct {
 // live shadow-memory intervals the checker is carrying. The session
 // wires the callback to the engine's gauges via SetResourceFn.
 type Resources struct {
-	// StatePoolGets / StatePoolMisses count checking-state pool
-	// traffic; a miss allocates a fresh State (four interval trees).
+	// StatePoolGets counts checked traces; StatePoolMisses those checked
+	// on a checker's first trace, which could not reuse a warm State (four
+	// interval trees) and allocated one. Engine workers own their checker
+	// and CheckTrace draws one from a pool; both count the same way.
 	StatePoolGets   uint64 `json:"state_pool_gets"`
 	StatePoolMisses uint64 `json:"state_pool_misses"`
 	// StatePoolHitRate is gets-that-hit / gets (0 when no traffic).
 	StatePoolHitRate float64 `json:"state_pool_hit_rate"`
-	// ShadowIntervalsLive is the interval count of the most recently
-	// checked trace's shadow memory; ShadowIntervalsMax is the high
-	// water mark — the "is this session's shadow memory growing?" gauge.
+	// ShadowIntervalsLive is the most recently checked trace's
+	// core.CheckStats.PeakIntervals: the high-water mark of live
+	// shadow-memory segments, sampled at every fence and at the trace's
+	// end and summed across stripes (exclusion, log and write-set trees
+	// do not count). ShadowIntervalsMax is its maximum over the process
+	// — the "is this session's shadow memory growing?" gauge.
 	ShadowIntervalsLive uint64 `json:"shadow_intervals_live"`
 	ShadowIntervalsMax  uint64 `json:"shadow_intervals_max"`
 	// GCRetiredIntervals counts shadow-memory segments retired by the

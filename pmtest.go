@@ -257,6 +257,7 @@ func Init(cfg Config) *Session {
 	for i, v := range cfg.StaticExcludes {
 		excludes[i] = core.Range{Addr: v.Addr, Size: v.Size}
 	}
+	check := core.Config{Shards: cfg.Shards, EpochGC: cfg.EpochGC, TrackOnly: cfg.TrackOnly}
 	// Fan lifecycle events out to the metrics registry and any custom
 	// observer; Multi returns nil when neither is set, preserving the
 	// engine's uninstrumented fast path.
@@ -290,7 +291,7 @@ func Init(cfg Config) *Session {
 			DropOnOverflow:  r.DropOnOverflow,
 			HealthInterval:  r.HealthInterval,
 			DisableFallback: r.DisableFallback,
-			TrackOnly:       cfg.TrackOnly,
+			Check:           check,
 			Excludes:        excludes,
 			Metrics:         cfg.Metrics,
 			Flight:          cfg.Flight,
@@ -313,8 +314,7 @@ func Init(cfg Config) *Session {
 		eng := core.NewEngine(core.Options{
 			Rules:          cfg.Model,
 			Workers:        cfg.Workers,
-			Check:          core.Config{Shards: cfg.Shards, EpochGC: cfg.EpochGC},
-			TrackOnly:      cfg.TrackOnly,
+			Check:          check,
 			StaticExcludes: excludes,
 			Observer:       obs.Multi(observers...),
 			Logger:         logger,

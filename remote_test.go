@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pmtest/internal/core"
 	"pmtest/internal/dist"
 	"pmtest/internal/obs"
 )
@@ -93,6 +94,66 @@ func TestRemoteConfigUnreachableDegrades(t *testing.T) {
 	snap := m.Snapshot()
 	if snap.DistFallbacks != 2 {
 		t.Fatalf("fallbacks = %d, want 2", snap.DistFallbacks)
+	}
+}
+
+// recordStream drives one long section through a rotating window of
+// written, flushed and fenced lines, then leaves one write unflushed
+// under an isPersist: enough closed epochs for epoch GC to retire most
+// of the window, and one FAIL so the reports carry a diagnostic.
+func recordStream(sess *Session) []Report {
+	th := sess.ThreadInit()
+	th.Start()
+	for r := uint64(0); r < 200; r++ {
+		for w := uint64(0); w < 4; w++ {
+			a := 0x1000 + (r*4+w)*64
+			th.Write(a, 64)
+			th.Flush(a, 64)
+		}
+		th.Fence()
+	}
+	th.Write(0x10, 8)
+	th.IsPersist(0x10, 8)
+	th.SendTrace()
+	return sess.Exit()
+}
+
+// TestRemoteDeadFleetKeepsEpochGC: when the fleet is dead, the local
+// fallback checks under the session's own checker config, so an EpochGC
+// session still retires shadow-memory intervals and still reports
+// exactly what a local EpochGC session reports.
+func TestRemoteDeadFleetKeepsEpochGC(t *testing.T) {
+	local := recordStream(Init(Config{EpochGC: true}))
+
+	before := core.ResourceStats().GCRetiredIntervals
+	m := obs.NewMetrics(8)
+	remote := recordStream(Init(Config{
+		EpochGC: true,
+		Remote: &RemoteConfig{
+			Nodes:      []string{"127.0.0.1:1"}, // reserved port: connection refused
+			RPCTimeout: 200 * time.Millisecond,
+			Attempts:   1,
+		},
+		Metrics: m,
+	}))
+	retired := core.ResourceStats().GCRetiredIntervals - before
+
+	if got := m.Snapshot().DistFallbacks; got != 1 {
+		t.Fatalf("fallbacks = %d, want 1", got)
+	}
+	if len(remote) != len(local) {
+		t.Fatalf("dead-fleet run: %d reports, local: %d", len(remote), len(local))
+	}
+	for i := range local {
+		if remote[i].Summary() != local[i].Summary() {
+			t.Fatalf("report %d diverged:\nlocal:  %s\nremote: %s", i, local[i].Summary(), remote[i].Summary())
+		}
+	}
+	if remote[0].Fails() != 1 {
+		t.Fatalf("fallback report lost the diagnostic: %s", remote[0].Summary())
+	}
+	if retired == 0 {
+		t.Fatal("local fallback retired no intervals: it checked with epoch GC off")
 	}
 }
 

@@ -70,6 +70,7 @@ func ResourceStats() obs.Resources {
 		ShadowIntervalsLive: shadowIntervalsLast.Load(),
 		ShadowIntervalsMax:  shadowIntervalsMax.Load(),
 		GCRetiredIntervals:  gcRetiredTotal.Load(),
+		FenceScanned:        fenceScannedTotal.Load(),
 	}
 	if gets > 0 {
 		r.StatePoolHitRate = float64(gets-misses) / float64(gets)

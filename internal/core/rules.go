@@ -61,8 +61,10 @@ func (X86) Apply(s *State, op trace.Op) {
 		// Non-temporal stores bypass the cache: the write behaves as if a
 		// writeback were already pending, needing only a fence.
 		s.applyWrite(op, true)
+		s.markPending(op.Addr, op.Addr+op.Size)
 	case trace.KindFlush:
 		x86Flush(s, op)
+		s.markPending(op.Addr, op.Addr+op.Size)
 	case trace.KindFence, trace.KindDFence:
 		// A dfence in an x86 trace degrades to the stronger sfence.
 		x86Fence(s)
@@ -80,6 +82,13 @@ func (X86) Apply(s *State, op trace.Op) {
 func x86Flush(s *State, op trace.Op) {
 	lo, hi := op.Addr, op.Addr+op.Size
 	quiet := s.excluded(lo, hi)
+	// Common case: the clwb repeats the bounds of one stored segment (the
+	// write before it), so there are no gaps and the status is updated in
+	// place.
+	if st := s.Mem.Exact(lo, hi); st != nil {
+		x86FlushSeg(s, op, lo, hi, st, quiet)
+		return
+	}
 	s.segScratch = s.Mem.ExtractOverlapAppend(s.segScratch[:0], lo, hi)
 	segs := s.segScratch
 	warned := false
@@ -97,23 +106,9 @@ func x86Flush(s *State, op trace.Op) {
 		checkGap(next, seg.Lo)
 		next = seg.Hi
 		st := seg.Val
-		if !quiet && !s.excluded(seg.Lo, seg.Hi) {
-			switch {
-			case st.HasFI && !warned:
-				// A writeback is already pending or completed since the
-				// last write: this clwb is redundant.
-				s.report(SeverityWarn, CodeDuplicateWriteback, opSite(op), st.WriteSite,
-					"range [0x%x,0x%x) already written back (flush interval %s)",
-					seg.Lo, seg.Hi, st.FI)
-				warned = true
-			case !st.HasPI && !warned:
-				s.report(SeverityWarn, CodeUnnecessaryWriteback, opSite(op), "",
-					"writeback of unmodified range [0x%x,0x%x)", seg.Lo, seg.Hi)
-				warned = true
-			}
+		if x86FlushSeg(s, op, seg.Lo, seg.Hi, &st, quiet || warned) {
+			warned = true
 		}
-		st.FI = EpochInterval{Start: s.T, End: Inf}
-		st.HasFI = true
 		s.Mem.Insert(seg.Lo, seg.Hi, st)
 	}
 	checkGap(next, hi)
@@ -128,18 +123,45 @@ func x86Flush(s *State, op trace.Op) {
 	}
 }
 
+// x86FlushSeg applies a clwb to the status of one segment [lo, hi):
+// unless quiet, it warns when the writeback is redundant (a flush interval
+// is already open or closed since the last write) or unnecessary (the
+// segment was never written), then opens a flush interval. It reports
+// whether it warned.
+func x86FlushSeg(s *State, op trace.Op, lo, hi uint64, st *status, quiet bool) (warned bool) {
+	if !quiet && !s.excluded(lo, hi) {
+		switch {
+		case st.HasFI:
+			s.report(SeverityWarn, CodeDuplicateWriteback, opSite(op), st.WriteSite,
+				"range [0x%x,0x%x) already written back (flush interval %s)",
+				lo, hi, st.FI)
+			warned = true
+		case !st.HasPI:
+			s.report(SeverityWarn, CodeUnnecessaryWriteback, opSite(op), "",
+				"writeback of unmodified range [0x%x,0x%x)", lo, hi)
+			warned = true
+		}
+	}
+	st.FI = EpochInterval{Start: s.T, End: Inf}
+	st.HasFI = true
+	return warned
+}
+
 // x86Fence implements sfence: increment the global timestamp, then close
 // every open flush interval at the new epoch — and with it, the persist
-// interval of each flushed range (§4.4).
+// interval of each flushed range (§4.4). Only ranges flushed (or stored
+// non-temporally) since the last fence can hold an open flush interval.
 func x86Fence(s *State) {
 	s.T++
-	s.Mem.ForEachPtr(func(lo, hi uint64, st *status) {
-		if st.HasFI && st.FI.Open() {
-			st.FI.End = s.T
-			if st.HasPI && st.PI.Open() {
-				st.PI.End = s.T
-			}
+	s.closePending(func(st *status) bool {
+		if !st.HasFI || !st.FI.Open() {
+			return false
 		}
+		st.FI.End = s.T
+		if st.HasPI && st.PI.Open() {
+			st.PI.End = s.T
+		}
+		return true
 	})
 	s.fenceEpilogue()
 }
@@ -160,6 +182,7 @@ func (HOPS) Apply(s *State, op trace.Op) {
 	switch op.Kind {
 	case trace.KindWrite, trace.KindWriteNT:
 		s.applyWrite(op, false)
+		s.markPending(op.Addr, op.Addr+op.Size)
 	case trace.KindFlush:
 		// HOPS needs no explicit writebacks; a clwb in the trace is
 		// redundant by definition.
@@ -181,12 +204,18 @@ func (HOPS) Apply(s *State, op trace.Op) {
 	}
 }
 
+// hopsDrain implements dfence: increment the global timestamp and close
+// every open persist interval at the new epoch. Only ranges stored since
+// the last drain can hold one; an ofence advances the epoch but keeps
+// them pending.
 func hopsDrain(s *State) {
 	s.T++
-	s.Mem.ForEachPtr(func(lo, hi uint64, st *status) {
-		if st.HasPI && st.PI.Open() {
-			st.PI.End = s.T
+	s.closePending(func(st *status) bool {
+		if !st.HasPI || !st.PI.Open() {
+			return false
 		}
+		st.PI.End = s.T
+		return true
 	})
 	s.fenceEpilogue()
 }
@@ -209,6 +238,7 @@ func (Epoch) Apply(s *State, op trace.Op) {
 	switch op.Kind {
 	case trace.KindWrite, trace.KindWriteNT:
 		s.applyWrite(op, false)
+		s.markPending(op.Addr, op.Addr+op.Size)
 	case trace.KindFlush:
 		// Epoch hardware tracks dirty lines itself; explicit writebacks
 		// are legal but pointless.

@@ -73,6 +73,13 @@ type CheckStats struct {
 	PeakIntervals int
 	// RetiredIntervals counts segments retired by epoch GC.
 	RetiredIntervals uint64
+	// FenceScanned counts shadow-memory segments visited by fences:
+	// segments a closing fence examined in the ranges flushed (x86/ARM)
+	// or stored (HOPS/Epoch) since the previous one, plus segments probed
+	// by epoch GC (summed across stripes). It is a deterministic measure
+	// of fence work, proportional to what the fences touched rather than
+	// to the live shadow memory.
+	FenceScanned uint64
 	// StripeDurs is per-stripe time spent applying ops, non-nil only
 	// when the checker's Timed flag is set. The slice is reused across
 	// traces; observers must copy it.
@@ -98,9 +105,10 @@ func shardable(rules RuleSet) (byStart, ok bool) {
 	return false, false
 }
 
-// gcRetiredTotal is the process-global count of GC-retired shadow
-// segments, exported through ResourceStats.
-var gcRetiredTotal atomic.Uint64
+// gcRetiredTotal and fenceScannedTotal are the process-global sums of
+// CheckStats.RetiredIntervals and CheckStats.FenceScanned, exported
+// through ResourceStats.
+var gcRetiredTotal, fenceScannedTotal atomic.Uint64
 
 // stripeCmd asks a stripe worker to apply its op-index list entries in
 // [from, to).
@@ -365,6 +373,9 @@ func (c *ShardedChecker) Check(t *trace.Trace, excludes []Range) (Report, CheckS
 	if stats.RetiredIntervals > 0 {
 		gcRetiredTotal.Add(stats.RetiredIntervals)
 	}
+	if stats.FenceScanned > 0 {
+		fenceScannedTotal.Add(stats.FenceScanned)
+	}
 	return rep, stats
 }
 
@@ -434,6 +445,7 @@ func (c *ShardedChecker) checkStriped(t *trace.Trace, excludes []Range) (rep Rep
 	for _, s := range c.states {
 		stats.PeakIntervals += peak(s)
 		stats.RetiredIntervals += s.gcRetired
+		stats.FenceScanned += s.fenceScanned
 	}
 	if c.Timed {
 		stats.StripeDurs = c.stripeDurs
@@ -451,7 +463,7 @@ func (c *ShardedChecker) checkSerial(t *trace.Trace, excludes []Range) (Report, 
 	s := c.serial
 	c.prepare(s, excludes)
 	rep := c.apply(s, t)
-	return rep, CheckStats{PeakIntervals: peak(s), RetiredIntervals: s.gcRetired}
+	return rep, CheckStats{PeakIntervals: peak(s), RetiredIntervals: s.gcRetired, FenceScanned: s.fenceScanned}
 }
 
 // apply runs the rules over every op of t against the prepared state s.

@@ -98,15 +98,36 @@ type State struct {
 	// would repeat each warning once per stripe.
 	muted bool
 
+	// pending lists the address ranges the next closing fence must visit:
+	// every range that may hold an interval the fence closes. The rule
+	// set records them (x86/ARM: clwb and non-temporal stores; HOPS and
+	// Epoch: every store), and the fence clears the list. An open flush
+	// interval (x86) or open persist interval (HOPS) can only lie inside
+	// a range recorded since the last closing fence, because segments
+	// only shrink and keep their addresses, so a fence costs O(log n +
+	// segments it touches) instead of a walk over the shadow memory.
+	pending []addrRange
+
 	// Epoch GC (sharded streaming mode): when gcOn, each fence retires
 	// shadow-memory segments whose persist and flush intervals both closed
 	// at least gcLag epochs ago — no future op or checker can change or
 	// observe anything about them except via warnings on re-flush, which
 	// gcLag epochs of slack make vanishingly unlikely in real traces.
-	gcOn      bool
-	gcLag     uint64
-	gcRetired uint64
-	gcScratch []gcRange
+	// A segment becomes retirable gcLag epochs after the fence that
+	// closed its last interval, and that fence saw it. So each fence
+	// queues the segments it closed, tagged with its epoch, on closed;
+	// the epilogue pops the entries at least gcLag epochs old and probes
+	// only their ranges, retiring the same segments at the same fence as
+	// a scan of the whole shadow memory would.
+	gcOn       bool
+	gcLag      uint64
+	gcRetired  uint64
+	gcScratch  []addrRange
+	closed     []closedRange
+	closedHead int // closed[closedHead:] is the live queue
+	// fenceScanned counts segments visited by fence closes and GC probes:
+	// the deterministic measure of fence work (CheckStats.FenceScanned).
+	fenceScanned uint64
 	// peakIntervals is the high-water mark of Mem.Len() sampled at fences.
 	peakIntervals int
 
@@ -118,8 +139,15 @@ type State struct {
 	segScratch2 []interval.Seg[status]
 }
 
-// gcRange is a retirable address range collected during the fence scan.
-type gcRange struct{ lo, hi uint64 }
+// addrRange is a half-open address range [lo, hi).
+type addrRange struct{ lo, hi uint64 }
+
+// closedRange is an epoch GC queue entry: a range of segments a fence
+// closed at epoch.
+type closedRange struct {
+	lo, hi uint64
+	epoch  uint64
+}
 
 // NewState returns the empty checking state for a fresh trace.
 func NewState() *State {
@@ -148,10 +176,55 @@ func (s *State) Reset() {
 	s.opIndex = 0
 	s.diagKey = 0
 	s.muted = false
+	s.pending = s.pending[:0]
 	s.gcOn = false
 	s.gcLag = 0
 	s.gcRetired = 0
+	s.closed = s.closed[:0]
+	s.closedHead = 0
+	s.fenceScanned = 0
 	s.peakIntervals = 0
+}
+
+// markPending records a range the next closing fence must visit. A range
+// overlapping or touching the last one recorded extends it, so repeated
+// stores to one object cost one entry.
+func (s *State) markPending(lo, hi uint64) {
+	if n := len(s.pending); n > 0 {
+		if p := &s.pending[n-1]; lo <= p.hi && hi >= p.lo {
+			p.lo, p.hi = min(p.lo, lo), max(p.hi, hi)
+			return
+		}
+	}
+	s.pending = append(s.pending, addrRange{lo, hi})
+}
+
+// closePending calls closeSeg on every shadow segment overlapping a pending
+// range and clears the list. closeSeg updates the segment's status in place
+// and reports whether it closed an interval; closed segments join the
+// epoch GC queue at the current epoch.
+func (s *State) closePending(closeSeg func(st *status) bool) {
+	for _, r := range s.pending {
+		s.Mem.VisitPtr(r.lo, r.hi, func(lo, hi uint64, st *status) {
+			s.fenceScanned++
+			if closeSeg(st) && s.gcOn {
+				s.queueClosed(lo, hi)
+			}
+		})
+	}
+	s.pending = s.pending[:0]
+}
+
+// queueClosed appends a segment closed at the current epoch to the GC
+// queue, extending the last entry when the two are contiguous.
+func (s *State) queueClosed(lo, hi uint64) {
+	if n := len(s.closed); n > s.closedHead {
+		if c := &s.closed[n-1]; c.epoch == s.T && c.hi == lo {
+			c.hi = hi
+			return
+		}
+	}
+	s.closed = append(s.closed, closedRange{lo: lo, hi: hi, epoch: s.T})
 }
 
 // fenceEpilogue runs at the end of every epoch-advancing fence: sample the
@@ -161,30 +234,38 @@ func (s *State) fenceEpilogue() {
 	if n := s.Mem.Len(); n > s.peakIntervals {
 		s.peakIntervals = n
 	}
-	if !s.gcOn {
-		return
-	}
-	// A segment is dead once every interval it carries ended at least
-	// gcLag epochs before the current one: no later fence will move it,
-	// and checkers only fail on open intervals.
-	if s.T < s.gcLag {
+	if !s.gcOn || s.T < s.gcLag {
 		return
 	}
 	horizon := s.T - s.gcLag
-	s.gcScratch = s.gcScratch[:0]
-	s.Mem.ForEachPtr(func(lo, hi uint64, st *status) {
-		if st.HasPI && (st.PI.Open() || st.PI.End > horizon) {
-			return
+	for s.closedHead < len(s.closed) && s.closed[s.closedHead].epoch <= horizon {
+		c := s.closed[s.closedHead]
+		s.closedHead++
+		s.gcScratch = s.gcScratch[:0]
+		s.Mem.VisitPtr(c.lo, c.hi, func(lo, hi uint64, st *status) {
+			s.fenceScanned++
+			if st.dead(horizon) {
+				s.gcScratch = append(s.gcScratch, addrRange{lo, hi})
+			}
+		})
+		for _, g := range s.gcScratch {
+			s.Mem.Delete(g.lo, g.hi)
 		}
-		if st.HasFI && (st.FI.Open() || st.FI.End > horizon) {
-			return
-		}
-		s.gcScratch = append(s.gcScratch, gcRange{lo, hi})
-	})
-	for _, g := range s.gcScratch {
-		s.Mem.Delete(g.lo, g.hi)
+		s.gcRetired += uint64(len(s.gcScratch))
 	}
-	s.gcRetired += uint64(len(s.gcScratch))
+	// Drop the popped prefix once it is at least half the queue, so the
+	// queue's memory stays proportional to its live entries.
+	if s.closedHead > 0 && s.closedHead >= len(s.closed)-s.closedHead {
+		s.closed = s.closed[:copy(s.closed, s.closed[s.closedHead:])]
+		s.closedHead = 0
+	}
+}
+
+// dead reports whether every interval the segment carries ended at or
+// before the GC horizon (an open one ends at Inf, past every horizon):
+// no later fence will move it, and checkers only fail on open intervals.
+func (st *status) dead(horizon uint64) bool {
+	return (!st.HasPI || st.PI.End <= horizon) && (!st.HasFI || st.FI.End <= horizon)
 }
 
 // report appends a diagnostic anchored at the current operation.

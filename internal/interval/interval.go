@@ -3,10 +3,16 @@
 //
 // The map maintains the invariant that stored segments never overlap.
 // Mutating a sub-range splits any partially covered segments, preserving
-// their values on the uncovered remainders. All operations run in
+// their values on the uncovered remainders. All operations run in expected
 // O(log n + k) for n stored segments and k touched segments, which is what
 // gives the PMTest checking engine its O(log n) shadow-memory updates
-// (paper §4.4).
+// (paper §4.4): stored segments are disjoint, so a range walk enters a
+// subtree only when it can hold an overlapping segment. Two primitives
+// serve the checker's hot path without restructuring the tree: Exact
+// finds the value of the segment stored with exactly the given bounds
+// (Set overwrites such a segment in place, Delete unlinks it in one
+// descent), and VisitPtr hands out pointers to the stored values
+// overlapping a range, so a fence closes intervals in place.
 //
 // The zero value of Tree is an empty, ready-to-use map.
 package interval
@@ -252,11 +258,20 @@ func inorder[V any](n *node[V], f func(*node[V])) {
 }
 
 // Set maps [lo, hi) to v, replacing any previous contents of the range.
+// When a segment is stored with exactly these bounds its value is
+// overwritten in place, without restructuring the tree; a range that
+// overlaps nothing is inserted without an extraction pass.
 func (t *Tree[V]) Set(lo, hi uint64, v V) {
 	if lo >= hi {
 		return
 	}
-	t.extract(lo, hi, nil, false)
+	if p := t.Exact(lo, hi); p != nil {
+		*p = v
+		return
+	}
+	if t.Overlaps(lo, hi) {
+		t.extract(lo, hi, nil, false)
+	}
 	t.insertNode(lo, hi, v)
 }
 
@@ -264,35 +279,114 @@ func (t *Tree[V]) Set(lo, hi uint64, v V) {
 // overlap an existing segment; use Set when replacement is intended.
 func (t *Tree[V]) Insert(lo, hi uint64, v V) { t.insertNode(lo, hi, v) }
 
-// Delete removes [lo, hi) from the map, trimming partial overlaps.
-func (t *Tree[V]) Delete(lo, hi uint64) { t.extract(lo, hi, nil, false) }
+// Delete removes [lo, hi) from the map, trimming partial overlaps. A
+// segment stored with exactly these bounds is unlinked in one descent.
+func (t *Tree[V]) Delete(lo, hi uint64) {
+	if root, n := removeExact(t.root, lo, hi); n != nil {
+		t.root = root
+		t.recycle(n)
+		return
+	}
+	t.extract(lo, hi, nil, false)
+}
+
+// removeExact unlinks the node stored with exactly [lo, hi) from the
+// subtree n, returning the subtree's new root and the removed node, or n
+// and nil when no segment has those bounds.
+func removeExact[V any](n *node[V], lo, hi uint64) (root, removed *node[V]) {
+	switch {
+	case n == nil:
+		return nil, nil
+	case lo < n.lo:
+		n.left, removed = removeExact(n.left, lo, hi)
+	case lo > n.lo:
+		n.right, removed = removeExact(n.right, lo, hi)
+	case n.hi == hi:
+		return merge(n.left, n.right), n
+	default:
+		return n, nil
+	}
+	if removed != nil {
+		n.update()
+	}
+	return n, removed
+}
+
+// Exact returns a pointer to the value of the segment stored with exactly
+// the bounds [lo, hi), or nil when no such segment exists. The pointer is
+// valid until the next mutation of the tree; callers may update the value
+// through it but must not change the segment's bounds.
+func (t *Tree[V]) Exact(lo, hi uint64) *V {
+	for n := t.root; n != nil; {
+		switch {
+		case lo < n.lo:
+			n = n.left
+		case lo > n.lo:
+			n = n.right
+		case n.hi == hi:
+			return &n.val
+		default:
+			return nil
+		}
+	}
+	return nil
+}
 
 // Visit calls f for every stored segment overlapping [lo, hi), clipped to
 // the range, in ascending order. f returning false stops the walk.
 func (t *Tree[V]) Visit(lo, hi uint64, f func(Seg[V]) bool) {
-	visit(t.root, lo, hi, f)
+	t.walk(lo, hi, func(n *node[V]) bool {
+		return f(Seg[V]{Lo: maxU64(n.lo, lo), Hi: minU64(n.hi, hi), Val: n.val})
+	})
 }
 
-func visit[V any](n *node[V], lo, hi uint64, f func(Seg[V]) bool) bool {
+// VisitPtr calls f for every stored segment overlapping [lo, hi), in
+// ascending order, with the segment's full (unclipped) bounds and a
+// pointer to its stored value so f can update the value in place. f must
+// not mutate the tree, and the bounds must not change.
+func (t *Tree[V]) VisitPtr(lo, hi uint64, f func(lo, hi uint64, v *V)) {
+	t.walk(lo, hi, func(n *node[V]) bool {
+		f(n.lo, n.hi, &n.val)
+		return true
+	})
+}
+
+// visitHook, when non-nil, receives the number of nodes each walk
+// entered. Tests set it to pin walks at O(log n + k).
+var visitHook func(entered int)
+
+// walk is the one tree walk behind Visit, VisitPtr and the queries built
+// on Visit.
+func (t *Tree[V]) walk(lo, hi uint64, f func(*node[V]) bool) {
+	entered := 0
+	visit(t.root, lo, hi, &entered, f)
+	if visitHook != nil {
+		visitHook(entered)
+	}
+}
+
+// visit calls f, in ascending order, for every node of the subtree n that
+// overlaps [lo, hi); f returning false stops the walk. *entered counts the
+// nodes the walk enters.
+//
+// Stored segments are disjoint and ordered by lo, so every segment in the
+// left subtree of n ends at or before n.lo: the left subtree can overlap
+// the range only when n.lo > lo, and the right one only when n.lo < hi.
+func visit[V any](n *node[V], lo, hi uint64, entered *int, f func(*node[V]) bool) bool {
 	if n == nil || lo >= hi {
 		return true
 	}
-	// Prune: children left of lo or right of hi cannot overlap... but a
-	// segment's extent is not bounded by its subtree key range alone, so we
-	// prune only on lo ordering and test each node's own range.
-	if n.lo < hi {
-		if !visit(n.left, lo, hi, f) {
-			return false
-		}
-		if n.hi > lo {
-			s := Seg[V]{Lo: maxU64(n.lo, lo), Hi: minU64(n.hi, hi), Val: n.val}
-			if s.Lo < s.Hi && !f(s) {
-				return false
-			}
-		}
-		return visit(n.right, lo, hi, f)
+	*entered++
+	if n.lo > lo && !visit(n.left, lo, hi, entered, f) {
+		return false
 	}
-	return visit(n.left, lo, hi, f)
+	if n.lo >= hi {
+		return true
+	}
+	if n.hi > lo && !f(n) {
+		return false
+	}
+	return visit(n.right, lo, hi, entered, f)
 }
 
 // Overlaps reports whether any stored segment overlaps [lo, hi).
@@ -337,14 +431,6 @@ func (t *Tree[V]) Gaps(lo, hi uint64) []Seg[struct{}] {
 		gaps = append(gaps, Seg[struct{}]{Lo: next, Hi: hi})
 	}
 	return gaps
-}
-
-// ForEachPtr walks every segment in ascending order, passing a pointer to
-// the stored value so callers can mutate values in place (the segment
-// boundaries must not be changed). Used by fence handling, which closes
-// every open interval in one pass.
-func (t *Tree[V]) ForEachPtr(f func(lo, hi uint64, v *V)) {
-	inorder(t.root, func(n *node[V]) { f(n.lo, n.hi, &n.val) })
 }
 
 // All returns every stored segment in ascending order.

@@ -147,14 +147,51 @@ func TestCoveredAndGaps(t *testing.T) {
 	}
 }
 
-func TestForEachPtrMutation(t *testing.T) {
+func TestVisitPtrMutation(t *testing.T) {
 	tr := New[int]()
 	tr.Set(0, 10, 1)
 	tr.Set(10, 20, 2)
-	tr.ForEachPtr(func(lo, hi uint64, v *int) { *v *= 10 })
-	want := []Seg[int]{{0, 10, 10}, {10, 20, 20}}
+	tr.Set(30, 40, 3)
+	var bounds []Seg[struct{}]
+	// [5, 15) overlaps the first two segments; VisitPtr passes their full
+	// bounds, unclipped, and leaves [30, 40) alone.
+	tr.VisitPtr(5, 15, func(lo, hi uint64, v *int) {
+		bounds = append(bounds, Seg[struct{}]{Lo: lo, Hi: hi})
+		*v *= 10
+	})
+	wantBounds := []Seg[struct{}]{{Lo: 0, Hi: 10}, {Lo: 10, Hi: 20}}
+	if !reflect.DeepEqual(bounds, wantBounds) {
+		t.Fatalf("VisitPtr bounds = %v, want %v", bounds, wantBounds)
+	}
+	want := []Seg[int]{{0, 10, 10}, {10, 20, 20}, {30, 40, 3}}
 	if got := segs(tr); !reflect.DeepEqual(got, want) {
 		t.Fatalf("All = %v, want %v", got, want)
+	}
+}
+
+func TestExact(t *testing.T) {
+	tr := New[int]()
+	tr.Set(0, 10, 1)
+	tr.Set(10, 20, 2)
+	for _, c := range []struct {
+		lo, hi uint64
+		want   int // 0: nil
+	}{
+		{0, 10, 1}, {10, 20, 2},
+		{0, 20, 0}, {0, 5, 0}, {5, 10, 0}, {10, 25, 0}, {20, 30, 0},
+	} {
+		p := tr.Exact(c.lo, c.hi)
+		switch {
+		case c.want == 0 && p != nil:
+			t.Errorf("Exact(%d, %d) = %d, want nil", c.lo, c.hi, *p)
+		case c.want != 0 && (p == nil || *p != c.want):
+			t.Errorf("Exact(%d, %d) = %v, want %d", c.lo, c.hi, p, c.want)
+		}
+	}
+	*tr.Exact(10, 20) = 7
+	want := []Seg[int]{{0, 10, 1}, {10, 20, 7}}
+	if got := segs(tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("All after write through Exact = %v, want %v", got, want)
 	}
 }
 
@@ -224,9 +261,12 @@ func flatten(tr *Tree[int], limit uint64) model {
 	return out
 }
 
-// TestQuickAgainstModel drives random Set/Delete/ExtractOverlap sequences
-// and checks the tree agrees with a per-byte model — the core correctness
-// property the shadow memory relies on.
+// TestQuickAgainstModel drives random Set/Delete/ExtractOverlap/VisitPtr
+// sequences, with Sets weighted towards the exact bounds of a stored
+// segment (the in-place path), and checks the tree agrees with a per-byte
+// model — the core correctness property the shadow memory relies on.
+// Exact is checked against the stored segments and the model, and
+// VisitPtr must reach exactly the model's bytes in its range.
 func TestQuickAgainstModel(t *testing.T) {
 	const space = 256
 	f := func(seed int64, opsRaw []uint32) bool {
@@ -237,7 +277,14 @@ func TestQuickAgainstModel(t *testing.T) {
 			lo := uint64(raw) % space
 			ln := uint64(rng.Intn(64)) + 1
 			hi := lo + ln
-			switch rng.Intn(3) {
+			if all := tr.All(); len(all) > 0 && rng.Intn(3) == 0 {
+				s := all[rng.Intn(len(all))]
+				lo, hi = s.Lo, s.Hi
+			}
+			if !exactAgrees(tr, m, lo, hi) {
+				return false
+			}
+			switch rng.Intn(4) {
 			case 0:
 				tr.Set(lo, hi, i)
 				m.set(lo, hi, i)
@@ -260,8 +307,40 @@ func TestQuickAgainstModel(t *testing.T) {
 					tr.Insert(s.Lo, s.Hi, s.Val)
 					m.set(s.Lo, s.Hi, s.Val)
 				}
+			case 3:
+				// VisitPtr reaches every modelled byte of [lo, hi) once,
+				// in ascending segment order; bump each value through the
+				// pointer.
+				reached := 0
+				next := uint64(0)
+				ok := true
+				tr.VisitPtr(lo, hi, func(sLo, sHi uint64, v *int) {
+					if sLo < next || sLo >= hi || sHi <= lo {
+						ok = false
+					}
+					next = sHi
+					for a := sLo; a < sHi; a++ {
+						if mv, in := m[a]; !in || mv != *v {
+							ok = false
+						}
+						if a >= lo && a < hi {
+							reached++
+						}
+					}
+					*v += 1000
+					m.set(sLo, sHi, *v)
+				})
+				want := 0
+				for a := lo; a < hi; a++ {
+					if _, in := m[a]; in {
+						want++
+					}
+				}
+				if !ok || reached != want {
+					return false
+				}
 			}
-			if !reflect.DeepEqual(flatten(tr, space+128), m) {
+			if !reflect.DeepEqual(flatten(tr, space+128), m) || tr.Len() != len(tr.All()) {
 				return false
 			}
 		}
@@ -270,6 +349,32 @@ func TestQuickAgainstModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// exactAgrees checks Exact(lo, hi) against the stored segments: it finds
+// a value exactly when a segment has those bounds, and the value is the
+// model's on every byte.
+func exactAgrees(tr *Tree[int], m model, lo, hi uint64) bool {
+	var stored *Seg[int]
+	for _, s := range tr.All() {
+		if s.Lo == lo && s.Hi == hi {
+			stored = &s
+			break
+		}
+	}
+	p := tr.Exact(lo, hi)
+	if (p == nil) != (stored == nil) {
+		return false
+	}
+	if p == nil {
+		return true
+	}
+	for a := lo; a < hi; a++ {
+		if m[a] != *p {
+			return false
+		}
+	}
+	return *p == stored.Val
 }
 
 // TestQuickSegmentsSortedDisjoint asserts structural invariants under random

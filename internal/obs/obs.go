@@ -403,6 +403,11 @@ type Resources struct {
 	// GCRetiredIntervals counts shadow-memory segments retired by the
 	// sharded checker's epoch GC (0 unless Config.EpochGC is on).
 	GCRetiredIntervals uint64 `json:"gc_retired_intervals"`
+	// FenceScanned counts shadow-memory segments visited by fences (the
+	// ranges each fence closes plus epoch GC probes), summed over every
+	// checked trace: core.CheckStats.FenceScanned. It grows with what the
+	// fences touched, not with the live shadow memory.
+	FenceScanned uint64 `json:"fence_scanned"`
 }
 
 // NewMetrics returns an empty registry keeping the last recentN trace

@@ -240,6 +240,7 @@ func mergeMetrics(acc *Snapshot, s Snapshot) error {
 		acc.Resources.ShadowIntervalsMax = s.Resources.ShadowIntervalsMax
 	}
 	acc.Resources.GCRetiredIntervals += s.Resources.GCRetiredIntervals
+	acc.Resources.FenceScanned += s.Resources.FenceScanned
 	if g := acc.Resources.StatePoolGets; g > 0 {
 		acc.Resources.StatePoolHitRate = float64(g-acc.Resources.StatePoolMisses) / float64(g)
 	}

@@ -208,9 +208,15 @@ func TestNodeSnapshotSchemaRoundTrip(t *testing.T) {
 
 func TestMergeSumsAndProvenance(t *testing.T) {
 	a, b := sampleNode("node-a", 3), sampleNode("node-b", 5)
+	a.Metrics.Resources.GCRetiredIntervals, b.Metrics.Resources.GCRetiredIntervals = 2, 3
+	a.Metrics.Resources.FenceScanned, b.Metrics.Resources.FenceScanned = 7, 11
 	merged, err := Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r := merged.Metrics.Resources; r.GCRetiredIntervals != 5 || r.FenceScanned != 18 {
+		t.Errorf("resource counters not summed: gc_retired_intervals %d (want 5), fence_scanned %d (want 18)",
+			r.GCRetiredIntervals, r.FenceScanned)
 	}
 	if merged.SchemaVersion != SnapshotSchemaVersion || merged.Partial {
 		t.Fatalf("header wrong: %+v", merged)
